@@ -7,20 +7,15 @@
 //
 //	pcstream [-machine M] [-workload W] [-load F] [-attribution A]
 //	         [-duration S] [-tick MS] [-seed N]
-//	         [-checkpoint FILE] [-checkpoint-every N]
-//	pcstream -resume FILE [same machine/workload/seed flags] ...
-//	pcstream -dir DIR [-supervise [-max-restarts N] [-backoff-ms MS]
-//	         [-crash SPEC]...] [same flags] ...
+//	pcstream -dir DIR [-checkpoint-every N] [-supervise [-max-restarts N]
+//	         [-backoff-ms MS] [-crash SPEC]...] [same flags] ...
 //
 // The stream is deterministic: the same flags produce the byte-identical
-// stream. -checkpoint writes the engine's latest checkpoint to FILE;
-// -resume rebuilds the identically configured machine, replays quietly to
-// the checkpoint, verifies the state matches, and continues the stream
-// from the cut — emitting exactly the records the uninterrupted run would
-// have emitted after it.
+// stream.
 //
 // -dir switches to durable mode: every record is appended to a CRC-framed
-// WAL in DIR, checkpoints persist beside it, and on startup the store
+// WAL in DIR, a checkpoint persists beside it every -checkpoint-every
+// ticks and at the end, and on startup the store
 // recovers (torn tails repaired, newest valid checkpoint loaded, WAL tail
 // replayed) and resumes exactly where the durable stream ends — rerunning
 // the same command after any number of kills re-emits nothing and loses
@@ -41,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -128,9 +124,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	durationS := fs.Float64("duration", 10, "virtual seconds to stream")
 	tickMS := fs.Int64("tick", 100, "streaming tick in virtual milliseconds")
 	seed := fs.Uint64("seed", 1, "simulation seed (identical seeds reproduce identical streams)")
-	cpPath := fs.String("checkpoint", "", "write the latest checkpoint JSON to this file")
-	cpEvery := fs.Int("checkpoint-every", 0, "take an automatic checkpoint every N ticks (0 = only at the end; 10 in -dir mode)")
-	resume := fs.String("resume", "", "resume from a checkpoint file written by -checkpoint (requires identical machine/workload/seed flags)")
+	cpEvery := fs.Int("checkpoint-every", 10, "with -dir, persist a checkpoint every N ticks (0 = only at the end)")
 	dir := fs.String("dir", "", "durable mode: stream through a crash-safe WAL + checkpoint store in this directory and print the stream read back from it")
 	supervise := fs.Bool("supervise", false, "restart crashed attempts with exponential backoff (requires -dir)")
 	maxRestarts := fs.Int("max-restarts", 8, "restart budget for -supervise")
@@ -150,17 +144,35 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
-	if *durationS <= 0 || *tickMS <= 0 {
-		return fmt.Errorf("duration and tick must be positive")
+	if math.IsNaN(*load) || math.IsInf(*load, 0) || *load <= 0 {
+		return fmt.Errorf("-load must be a positive finite fraction of peak, got %g", *load)
 	}
-	if *dir == "" && (*supervise || len(crashSpecs) > 0) {
-		return fmt.Errorf("-supervise and -crash require -dir")
+	// NaN fails both comparisons; 2^63 ns and beyond overflow sim.Time.
+	durationNS := *durationS * float64(sim.Second)
+	if !(durationNS >= 1 && durationNS < math.MaxInt64) {
+		return fmt.Errorf("-duration must be positive and below %.0f virtual seconds, got %g",
+			math.MaxInt64/float64(sim.Second), *durationS)
+	}
+	if *tickMS <= 0 || *tickMS > int64(math.MaxInt64/sim.Millisecond) {
+		return fmt.Errorf("-tick must be a positive number of milliseconds, got %d", *tickMS)
+	}
+	if *cpEvery < 0 {
+		return fmt.Errorf("-checkpoint-every must not be negative")
+	}
+	if *dir == "" {
+		durableOnly := ""
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "checkpoint-every", "supervise", "max-restarts", "backoff-ms", "crash":
+				durableOnly = f.Name
+			}
+		})
+		if durableOnly != "" {
+			return fmt.Errorf("-%s requires -dir", durableOnly)
+		}
 	}
 	if len(crashSpecs) > 0 && !*supervise {
 		return fmt.Errorf("-crash requires -supervise (an unsupervised crash just kills the run)")
-	}
-	if *dir != "" && (*cpPath != "" || *resume != "") {
-		return fmt.Errorf("-dir manages its own checkpoints; drop -checkpoint/-resume")
 	}
 	spec, err := pickMachine(*machine)
 	if err != nil {
@@ -176,7 +188,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	baseSeed = *seed
-	horizon := sim.Time(*durationS * float64(sim.Second))
+	horizon := sim.Time(durationNS)
 	// Every attempt — the plain run, or each supervised restart — rebuilds
 	// the identically seeded machine from scratch: determinism is what
 	// makes the recovered replay reproduce the durable stream.
@@ -197,12 +209,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return stream.Sources{Eng: m.Eng, Fac: m.Fac, Meter: meter, Scope: scope}, nil
 	}
-	cfg := stream.Config{Tick: sim.Time(*tickMS) * sim.Millisecond, CheckpointEvery: *cpEvery}
+	cfg := stream.Config{Tick: sim.Time(*tickMS) * sim.Millisecond}
 
 	if *dir != "" {
-		if cfg.CheckpointEvery == 0 {
-			cfg.CheckpointEvery = 10
-		}
+		cfg.CheckpointEvery = *cpEvery
 		return runDurable(durableRun{
 			dir: *dir, cfg: cfg, horizon: horizon, newSources: newSources,
 			supervise: *supervise, maxRestarts: *maxRestarts, backoffMS: *backoffMS,
@@ -214,24 +224,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var e *stream.Engine
-	if *resume != "" {
-		data, err := os.ReadFile(*resume)
-		if err != nil {
-			return err
-		}
-		cp, err := stream.DecodeCheckpoint(data)
-		if err != nil {
-			return err
-		}
-		if e, err = stream.ReplayTo(src, cfg, cp); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "resumed at tick %d (t=%s) from %s\n", e.Tick(), sim.FormatTime(e.Now()), *resume)
-	} else {
-		e = stream.New(src, cfg)
-	}
-
+	e := stream.New(src, cfg)
 	out := bufio.NewWriter(stdout)
 	sink := &lineSink{w: out}
 	hasher := stream.NewHasher()
@@ -244,13 +237,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return sink.err
 	}
 
-	if *cpPath != "" {
-		cp := e.Checkpoint()
-		if err := os.WriteFile(*cpPath, stream.EncodeCheckpoint(cp), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "checkpoint at tick %d written to %s\n", cp.Tick, *cpPath)
-	}
 	fmt.Fprintf(stderr, "streamed %d ticks, %d records, %s J attributed, stream sha256 %s\n",
 		e.Tick(), hasher.Count(), fmt.Sprintf("%.3f", e.CumAttributedJ()), hasher.Sum())
 	return nil

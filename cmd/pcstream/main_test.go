@@ -29,36 +29,6 @@ func TestRunStreamsDeterministically(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointResume: streaming to a mid-run checkpoint and resuming
-// from it emits exactly the records the uninterrupted run emits after the
-// cut — the CLI-level replay contract.
-func TestRunCheckpointResume(t *testing.T) {
-	base := []string{"-duration", "6", "-seed", "11", "-workload", "GAE-Vosao", "-load", "0.4"}
-	var full, errb bytes.Buffer
-	if err := run(base, &full, &errb); err != nil {
-		t.Fatal(err)
-	}
-
-	cp := filepath.Join(t.TempDir(), "cp.json")
-	var head bytes.Buffer
-	if err := run(append([]string{"-checkpoint", cp}, append([]string{"-duration", "2.5"}, base[2:]...)...), &head, &errb); err != nil {
-		t.Fatal(err)
-	}
-	var tail bytes.Buffer
-	if err := run(append([]string{"-resume", cp}, base...), &tail, &errb); err != nil {
-		t.Fatal(err)
-	}
-	// -duration 2.5 streams 25 whole 100ms ticks; the head is everything
-	// the full run emitted through tick 25.
-	if !bytes.Equal(append(head.Bytes(), tail.Bytes()...), full.Bytes()) {
-		t.Fatalf("head (%d bytes) + resumed tail (%d bytes) != uninterrupted stream (%d bytes)",
-			head.Len(), tail.Len(), full.Len())
-	}
-	if !strings.Contains(errb.String(), "resumed at tick 25") {
-		t.Fatalf("resume did not report the cut: %s", errb.String())
-	}
-}
-
 // TestRunFlagValidation: bad flag values surface as errors, not panics.
 func TestRunFlagValidation(t *testing.T) {
 	var out, errb bytes.Buffer
@@ -67,6 +37,17 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-machine", "nope"},
 		{"-attribution", "nope"},
 		{"-duration", "0"},
+		{"-duration", "-1"},
+		{"-duration", "NaN"},
+		{"-duration", "+Inf"},
+		{"-duration", "1e300"},
+		{"-duration", "1e-12"},
+		{"-load", "0"},
+		{"-load", "-0.5"},
+		{"-load", "NaN"},
+		{"-load", "Inf"},
+		{"-tick", "0"},
+		{"-tick", "9223372036854775807"},
 		{"extra"},
 	} {
 		if err := run(args, &out, &errb); err == nil {
@@ -152,8 +133,8 @@ func TestRunDurableFlagValidation(t *testing.T) {
 		{"-supervise"},
 		{"-crash", "crash:op=sync,index=1"},
 		{"-dir", "d", "-crash", "crash:op=sync,index=1"},
-		{"-dir", "d", "-resume", "cp.json"},
-		{"-dir", "d", "-checkpoint", "cp.json"},
+		{"-checkpoint-every", "5"},
+		{"-dir", "d", "-checkpoint-every", "-1"},
 		{"-dir", "d", "-supervise", "-crash", "nonsense"},
 	} {
 		if err := run(args, &out, &errb); err == nil {

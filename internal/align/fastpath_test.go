@@ -262,9 +262,13 @@ func TestModeledPowerCacheMatchesBatch(t *testing.T) {
 		m := model.Metrics{Core: rng.Float64() * 3, Ins: rng.Float64(), Mem: rng.Float64() * 0.05}
 		ms.AddSpread(b*sim.Millisecond, (b+1)*sim.Millisecond, m)
 	}
+	// A second consumer (the streaming engine's role) registered before the
+	// recalibrator's first call keeps its own mark on the same writes.
+	other := ms.NewCursor()
 	check := func(step string, c model.Coefficients) {
 		t.Helper()
 		got := r.modeledPower(ms, c)
+		other.Clear()
 		want := ms.ModeledPower(c, ms.Len())
 		if len(got) != len(want) {
 			t.Fatalf("%s: cache has %d buckets, batch %d", step, len(got), len(want))
@@ -294,6 +298,20 @@ func TestModeledPowerCacheMatchesBatch(t *testing.T) {
 	check("back-write", c1)
 	// No changes at all: cache must simply persist.
 	check("idle", c1)
+	// An all-zero period writes nothing: neither Len nor either mark moves.
+	n := ms.Len()
+	ms.AddSpread(10*sim.Millisecond, 300*sim.Millisecond, model.Metrics{})
+	if ms.Len() != n || r.mpCursor.DirtyLow() < n || other.DirtyLow() < n {
+		t.Fatalf("all-zero AddSpread: len %d→%d, marks %d/%d, want unchanged and clean",
+			n, ms.Len(), r.mpCursor.DirtyLow(), other.DirtyLow())
+	}
+	check("all-zero", c1)
+	// A back-write lowers both marks to the first bucket it touches.
+	ms.AddSpread(30*sim.Millisecond, 31*sim.Millisecond, model.Metrics{Net: 0.3})
+	if r.mpCursor.DirtyLow() != 30 || other.DirtyLow() != 30 {
+		t.Fatalf("back-write marks = %d/%d, want 30/30", r.mpCursor.DirtyLow(), other.DirtyLow())
+	}
+	check("second back-write", c1)
 	// Coefficient change invalidates everything.
 	check("coeff-change", c2)
 	// And back again.

@@ -80,12 +80,13 @@ type Recalibrator struct {
 	gramOff   bool
 
 	// Incremental modeled-power cache for the delay search: mp mirrors
-	// ms.ModeledPower(mpCoeff, len(mp)) and is extended/patched from the
-	// metric series' dirty low-water mark instead of being rebuilt on
-	// every delay-unknown Ingest.
-	mp      []float64
-	mpCoeff model.Coefficients
-	mpValid bool
+	// ms.ModeledPower(mpCoeff, len(mp)) and is extended/patched from
+	// mpCursor, this recalibrator's dirty mark on the metric series,
+	// instead of being rebuilt on every delay-unknown Ingest.
+	mp       []float64
+	mpCoeff  model.Coefficients
+	mpValid  bool
+	mpCursor *model.MetricCursor
 
 	// lastNow is the most recent Ingest time, used to stamp audit events
 	// emitted from Refit (which has no clock of its own).
@@ -145,18 +146,22 @@ func (r *Recalibrator) readFresh(now sim.Time) []power.Sample {
 }
 
 // modeledPower returns the modeled active power series under current,
-// recomputing only buckets at or above the metric series' dirty low-water
-// mark since the previous call (late writes reach back: device I/O spreads
-// energy over past buckets, and per-core periods close at different times).
-// A coefficient change invalidates the whole cache. Recomputed buckets get
-// the identical c.Estimate(ms.At(b)) evaluation the batch path performs, so
-// the cached series is bit-identical to ms.ModeledPower(current, ms.Len()).
+// recomputing only buckets at or above the recalibrator's cursor on ms
+// since the previous call. The cursor is registered on first use, so every
+// call must pass the same series (the facility's, in Ingest); a fresh
+// cursor is fully dirty. A coefficient change invalidates the whole cache.
+// Recomputed buckets get the identical c.Estimate(ms.At(b)) evaluation the
+// batch path performs, so the cached series is bit-identical to
+// ms.ModeledPower(current, ms.Len()).
 func (r *Recalibrator) modeledPower(ms *model.MetricSeries, current model.Coefficients) []float64 {
+	if r.mpCursor == nil {
+		r.mpCursor = ms.NewCursor()
+	}
 	n := ms.Len()
 	from := 0
 	if r.mpValid && current == r.mpCoeff {
 		from = len(r.mp)
-		if d := ms.DirtyLow(); d < from {
+		if d := r.mpCursor.DirtyLow(); d < from {
 			from = d
 		}
 	}
@@ -170,7 +175,7 @@ func (r *Recalibrator) modeledPower(ms *model.MetricSeries, current model.Coeffi
 	for b := from; b < n; b++ {
 		r.mp[b] = current.Estimate(ms.At(b))
 	}
-	ms.ClearDirty()
+	r.mpCursor.Clear()
 	r.mpCoeff = current
 	r.mpValid = true
 	return r.mp

@@ -6,7 +6,6 @@ import (
 	"powercontainers/internal/cluster"
 	"powercontainers/internal/core"
 	"powercontainers/internal/cpu"
-	"powercontainers/internal/kernel"
 	"powercontainers/internal/power"
 	"powercontainers/internal/runner"
 	"powercontainers/internal/server"
@@ -98,7 +97,7 @@ func Cluster3Ex(ex Exec, seed uint64) (*Cluster3Result, error) {
 
 	res := &Cluster3Result{Energy: energy}
 	for _, pol := range []cluster.Policy{cluster.SimpleBalance, cluster.MachineAware, cluster.WorkloadAware} {
-		p, err := cluster3Run(ex, pol, affinity, seed, false, nil, 30*sim.Second, 5*sim.Second, 25*sim.Second)
+		p, err := cluster3Run(ex, pol, affinity, seed, false, 30*sim.Second, 5*sim.Second, 25*sim.Second)
 		if err != nil {
 			return nil, fmt.Errorf("cluster3 %s: %w", pol, err)
 		}
@@ -118,16 +117,7 @@ func Cluster3Ex(ex Exec, seed uint64) (*Cluster3Result, error) {
 // plan-only nodes, then each machine simulates its share on its own engine
 // (or all on one shared engine when singleEngine is set — the reference
 // mode the shard-equivalence regression test compares against).
-//
-// When health checking is requested the run falls back to the fully
-// coupled single-engine dispatcher instead: failure probes and redispatch
-// couple dispatch decisions to node execution, which the plan pipeline
-// cannot express (EnableHealth rejects plan mode outright), so the
-// request is honored on the path that can run it rather than rejected.
-func cluster3Run(ex Exec, pol cluster.Policy, affinity map[string]float64, seed uint64, singleEngine bool, health *cluster.HealthConfig, until, t0, t1 sim.Time) (*Fig14Policy, error) {
-	if health != nil {
-		return cluster3Coupled(ex, pol, affinity, seed, health, until, t0, t1)
-	}
+func cluster3Run(ex Exec, pol cluster.Policy, affinity map[string]float64, seed uint64, singleEngine bool, until, t0, t1 sim.Time) (*Fig14Policy, error) {
 	as := ex.Assembly
 	specs := cluster3Specs()
 	wls := cluster3Workloads()
@@ -217,95 +207,6 @@ func cluster3Run(ex Exec, pol cluster.Policy, affinity map[string]float64, seed 
 	out := &Fig14Policy{Policy: pol, RespMs: sres.ResponseTimes(), Dispatched: sres.PerApp}
 	for i, meter := range meters {
 		w, err := wattsupWindowMean(meter, machines[i].Eng.Now(), t0, t1)
-		if err != nil {
-			return nil, err
-		}
-		out.ActiveW = append(out.ActiveW, w)
-		out.TotalW += w
-	}
-	return out, nil
-}
-
-// cluster3Coupled is the fully coupled reference path: all three machines
-// and the live dispatcher share one engine, exactly as cluster3 ran before
-// the plan/shard pipeline existed. Health checking (when non-nil) probes
-// from its own seeded stream, so with no injected node failures the run is
-// bit-identical to the same run without health — the regression test pins
-// this against the resurrected pre-shard behavior.
-func cluster3Coupled(ex Exec, pol cluster.Policy, affinity map[string]float64, seed uint64, health *cluster.HealthConfig, until, t0, t1 sim.Time) (*Fig14Policy, error) {
-	as := ex.Assembly
-	specs := cluster3Specs()
-	wls := cluster3Workloads()
-	eng := sim.NewEngine()
-	rng := sim.NewRand(seed * 37)
-
-	var apps []*cluster.App
-	for _, name := range cluster3AppNames {
-		apps = append(apps, &cluster.App{Name: name, AffinityRatio: affinity[name]})
-	}
-
-	var nodes []*cluster.Node
-	var meters []*power.WattsupMeter
-	var machines []*Machine
-	deps := make([]map[string]*server.Deployment, len(specs))
-	for i, spec := range specs {
-		m, err := as.NewMachineOnEngine(eng, spec, core.ApproachChipShare, seed+uint64(i)*29)
-		if err != nil {
-			return nil, err
-		}
-		machines = append(machines, m)
-		deps[i] = map[string]*server.Deployment{}
-		node := cluster.NewNode(m.K, m.Fac, apps, func(app *cluster.App, k *kernel.Kernel) *server.Deployment {
-			dep := wls[app.Name].Deploy(k, m.Rng.Fork(uint64(len(app.Name))))
-			deps[i][app.Name] = dep
-			return dep
-		})
-		node.ReservedUtil = workload.GAEBackgroundCoreDemand(spec) / float64(spec.Cores())
-		nodes = append(nodes, node)
-		meters = append(meters, m.Wattsup)
-	}
-	for _, app := range apps {
-		for i := range specs {
-			app.SvcSec = append(app.SvcSec, deps[i][app.Name].MeanServiceSec)
-		}
-		app.NewRequest = deps[0][app.Name].NewRequest
-	}
-
-	d := cluster.NewDispatcher(eng, nodes, apps, pol)
-	laud := as.collector().newAuditor(fmt.Sprintf("cluster3/%s", pol))
-	if laud != nil {
-		d.Ledger.Audit = laud
-	}
-	if health != nil {
-		d.EnableHealth(*health, sim.NewRand(seed*41))
-	}
-
-	// Offered volume: under simple balance every node takes a third of
-	// each app's volume; the slow Woodcrest saturates first.
-	wcAvail := float64(specs[2].Cores()) * (1 - nodes[2].ReservedUtil)
-	rates := map[string]float64{}
-	for _, app := range apps {
-		rates[app.Name] = 3.0 * 1.03 * wcAvail / app.SvcSec[2]
-	}
-
-	d.RunOpenLoop(rates, until, rng)
-	eng.RunUntil(until + 3*sim.Second)
-
-	for _, m := range machines {
-		if err := m.FinalizeAudit(); err != nil {
-			return nil, err
-		}
-	}
-	if laud != nil {
-		laud.CheckLedger(d.Ledger, d.Completed(), eng.Now())
-		if err := laud.Err(); err != nil {
-			return nil, err
-		}
-	}
-
-	out := &Fig14Policy{Policy: pol, RespMs: d.ResponseTimes(), Dispatched: d.DispatchCounts()}
-	for _, meter := range meters {
-		w, err := wattsupWindowMean(meter, eng.Now(), t0, t1)
 		if err != nil {
 			return nil, err
 		}

@@ -56,7 +56,7 @@ func TestCluster3ShardedMatchesSingleEngine(t *testing.T) {
 	)
 	run := func(jobs int, singleEngine bool) string {
 		t.Helper()
-		p, err := cluster3Run(NewRunExec(jobs), cluster.WorkloadAware, affinity, 1, singleEngine, nil, until, t0, t1)
+		p, err := cluster3Run(NewRunExec(jobs), cluster.WorkloadAware, affinity, 1, singleEngine, until, t0, t1)
 		if err != nil {
 			t.Fatalf("jobs=%d singleEngine=%v: %v", jobs, singleEngine, err)
 		}
@@ -67,33 +67,5 @@ func TestCluster3ShardedMatchesSingleEngine(t *testing.T) {
 		if got := run(jobs, false); got != ref {
 			t.Errorf("sharded run at jobs=%d diverged from single-engine reference:\n--- sharded ---\n%s--- reference ---\n%s", jobs, got, ref)
 		}
-	}
-}
-
-// TestCluster3HealthFallsBackToCoupledPath pins the graceful degradation
-// when health checking is requested: EnableHealth rejects plan mode, so
-// cluster3Run must route the run onto the fully coupled single-engine
-// dispatcher — the path cluster3 used before the plan/shard pipeline —
-// and, with no injected node failures, produce a result bit-identical to
-// that pre-shard reference (probes draw only from their own seeded
-// stream, so a healthy cluster is unperturbed by the monitoring).
-func TestCluster3HealthFallsBackToCoupledPath(t *testing.T) {
-	affinity := map[string]float64{"GAE-Vosao": 0.55, "RSA-crypto": 0.80}
-	const (
-		until = 10 * sim.Second
-		t0    = 2 * sim.Second
-		t1    = 8 * sim.Second
-	)
-	health := &cluster.HealthConfig{ProbeEvery: 50 * sim.Millisecond, Timeout: 10 * sim.Millisecond}
-	got, err := cluster3Run(NewRunExec(1), cluster.WorkloadAware, affinity, 1, false, health, until, t0, t1)
-	if err != nil {
-		t.Fatalf("health-enabled run: %v", err)
-	}
-	ref, err := cluster3Coupled(NewRunExec(1), cluster.WorkloadAware, affinity, 1, nil, until, t0, t1)
-	if err != nil {
-		t.Fatalf("coupled reference: %v", err)
-	}
-	if g, r := fingerprintPolicy(got), fingerprintPolicy(ref); g != r {
-		t.Errorf("health fallback diverged from the coupled reference:\n--- health ---\n%s--- reference ---\n%s", g, r)
 	}
 }

@@ -7,6 +7,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 
 	"powercontainers/internal/sim"
 	"powercontainers/internal/stats"
@@ -142,9 +143,15 @@ func (c Coefficients) String() string {
 // attribution period; recalibration regresses its buckets against aligned
 // meter readings, and the modeled-power trace for alignment is computed
 // from it.
+//
+// Consumers that keep an incremental copy of something derived from the
+// buckets (the recalibrator's and the streaming engine's modeled-power
+// caches) each register a MetricCursor: every write lowers every cursor to
+// the first bucket it touched, and each consumer clears its own.
 type MetricSeries struct {
 	interval sim.Time
 	series   [8]*stats.Series
+	cursors  []*MetricCursor
 }
 
 // NewMetricSeries returns a metric series on the given bucket grid.
@@ -182,12 +189,23 @@ func (ms *MetricSeries) AddSpread(t0, t1 sim.Time, m Metrics) {
 	// A stack array instead of m.Vector(): this runs on every attribution
 	// period and device-I/O completion, so it must not allocate.
 	v := [8]float64{m.Core, m.Ins, m.Float, m.Cache, m.Mem, m.Chip, m.Disk, m.Net}
+	wrote := false
 	for i, s := range ms.series {
 		//pclint:allow floatsafe exact-zero fast path skipping metrics that were never observed
 		if v[i] == 0 {
 			continue
 		}
 		s.AddSpread(t0, t1, v[i]*scale)
+		wrote = true
+	}
+	if !wrote {
+		return
+	}
+	first := int(t0 / ms.interval)
+	for _, c := range ms.cursors {
+		if first < c.lo {
+			c.lo = first
+		}
 	}
 }
 
@@ -205,61 +223,29 @@ func (ms *MetricSeries) At(b int) Metrics {
 	}
 }
 
-// DirtyLow returns the lowest bucket index any component series has written
-// since the last ClearDirty (≥ Len() when nothing changed). Like
-// stats.Series, the mark supports a single consumer — in this repo, the
-// recalibrator's incremental modeled-power cache.
-func (ms *MetricSeries) DirtyLow() int {
-	lo := ms.series[0].DirtyLow()
-	for _, s := range ms.series[1:] {
-		if d := s.DirtyLow(); d < lo {
-			lo = d
-		}
-	}
-	return lo
-}
-
-// ClearDirty resets the dirty mark of every component series.
-func (ms *MetricSeries) ClearDirty() {
-	for _, s := range ms.series {
-		s.ClearDirty()
-	}
-}
-
-// MetricCursor is an independent dirty low-water mark over a MetricSeries,
-// one stats.Cursor per component. It lets a second incremental consumer
-// (the streaming engine's modeled-power cache) coexist with the
-// recalibrator, which owns the legacy DirtyLow/ClearDirty mark.
+// MetricCursor is one consumer's dirty low-water mark over a MetricSeries:
+// the lowest bucket written since the consumer last called Clear. Writes are
+// not append-only (device I/O spreads energy over past buckets, and
+// per-core periods close at different times), so a low-water mark is the
+// cheapest sound summary of what may have changed.
 type MetricCursor struct {
-	cursors [8]*stats.Cursor
+	lo int
 }
 
-// NewCursor registers an independent cursor; it starts fully dirty.
+// NewCursor registers a cursor. It starts at bucket 0, fully dirty, so its
+// consumer's first pass also sees every bucket written before it existed.
 func (ms *MetricSeries) NewCursor() *MetricCursor {
 	mc := &MetricCursor{}
-	for i, s := range ms.series {
-		mc.cursors[i] = s.NewCursor()
-	}
+	ms.cursors = append(ms.cursors, mc)
 	return mc
 }
 
-// DirtyLow returns the lowest bucket any component wrote since Clear.
-func (mc *MetricCursor) DirtyLow() int {
-	lo := mc.cursors[0].DirtyLow()
-	for _, c := range mc.cursors[1:] {
-		if d := c.DirtyLow(); d < lo {
-			lo = d
-		}
-	}
-	return lo
-}
+// DirtyLow returns the lowest bucket written since Clear; any value ≥ the
+// series' Len() means no bucket changed.
+func (mc *MetricCursor) DirtyLow() int { return mc.lo }
 
-// Clear resets this cursor without touching other consumers.
-func (mc *MetricCursor) Clear() {
-	for _, c := range mc.cursors {
-		c.Clear()
-	}
-}
+// Clear marks everything seen, without touching other cursors.
+func (mc *MetricCursor) Clear() { mc.lo = math.MaxInt }
 
 // WindowMean returns the mean metrics over buckets [lo, hi).
 func (ms *MetricSeries) WindowMean(lo, hi int) Metrics {

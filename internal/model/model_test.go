@@ -240,25 +240,42 @@ func TestFitErrorMetric(t *testing.T) {
 	}
 }
 
+// TestMetricCursorIndependentOfLegacyMark checks that consumers' marks are
+// independent. The recalibrator's mark, once a separate single-owner
+// DirtyLow/ClearDirty pair, is now one more cursor: c1 plays that role and
+// c2 the streaming engine's.
 func TestMetricCursorIndependentOfLegacyMark(t *testing.T) {
 	ms := NewMetricSeries(sim.Millisecond)
-	ms.AddSpread(0, 4*sim.Millisecond, Metrics{Core: 1, Ins: 2})
-	mc := ms.NewCursor()
-	if mc.DirtyLow() != 0 {
-		t.Fatalf("fresh cursor DirtyLow = %d, want 0", mc.DirtyLow())
+	ms.AddSpread(0, 6*sim.Millisecond, Metrics{Core: 1, Ins: 2})
+	c1 := ms.NewCursor()
+	if c1.DirtyLow() != 0 {
+		t.Fatalf("fresh cursor DirtyLow = %d, want 0 (conservatively all dirty)", c1.DirtyLow())
 	}
-	mc.Clear()
-	ms.ClearDirty()
-	ms.AddSpread(2*sim.Millisecond, 3*sim.Millisecond, Metrics{Cache: 1})
-	if mc.DirtyLow() != 2 || ms.DirtyLow() != 2 {
-		t.Fatalf("cursor=%d legacy=%d after write, want 2/2", mc.DirtyLow(), ms.DirtyLow())
+	c1.Clear()
+	c2 := ms.NewCursor()
+	ms.AddSpread(3*sim.Millisecond, 4*sim.Millisecond, Metrics{Cache: 1})
+	if c1.DirtyLow() != 3 || c2.DirtyLow() != 0 {
+		t.Fatalf("after write: c1=%d c2=%d, want 3/0", c1.DirtyLow(), c2.DirtyLow())
 	}
-	ms.ClearDirty() // the recalibrator clearing its view must not clear ours
-	if mc.DirtyLow() != 2 {
-		t.Fatalf("cursor DirtyLow = %d after legacy ClearDirty, want 2", mc.DirtyLow())
+	c1.Clear()
+	if c1.DirtyLow() < ms.Len() {
+		t.Fatalf("cleared cursor DirtyLow = %d, want ≥ Len %d", c1.DirtyLow(), ms.Len())
 	}
-	mc.Clear()
-	if mc.DirtyLow() < ms.Len() {
-		t.Fatalf("cleared cursor DirtyLow = %d, want ≥ %d", mc.DirtyLow(), ms.Len())
+	if c2.DirtyLow() != 0 {
+		t.Fatal("clearing c1 touched c2")
+	}
+	c2.Clear()
+	// A write lowers every cursor to the first bucket it touches, even one
+	// whose components differ from earlier writes, and one that reaches
+	// past Len.
+	ms.AddSpread(sim.Millisecond+sim.Millisecond/2, 8*sim.Millisecond, Metrics{Disk: 0.5})
+	if c1.DirtyLow() != 1 || c2.DirtyLow() != 1 || ms.Len() != 8 {
+		t.Fatalf("after back-write: c1=%d c2=%d len=%d, want 1/1/8", c1.DirtyLow(), c2.DirtyLow(), ms.Len())
+	}
+	// An all-zero period writes nothing: no growth, no mark.
+	c1.Clear()
+	ms.AddSpread(0, 20*sim.Millisecond, Metrics{})
+	if ms.Len() != 8 || c1.DirtyLow() < ms.Len() || c2.DirtyLow() != 1 {
+		t.Fatalf("after all-zero write: len=%d c1=%d c2=%d, want 8/clean/1", ms.Len(), c1.DirtyLow(), c2.DirtyLow())
 	}
 }

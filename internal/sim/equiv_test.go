@@ -5,7 +5,7 @@ import (
 )
 
 // This file property- and fuzz-tests the arena engine against the
-// container/heap reference engine in ref.go: identical operation
+// container/heap reference engine in ref_test.go: identical operation
 // sequences must produce bit-identical dispatch streams — same (at, seq)
 // per step, same callback order, same clock — including around Cancel of
 // pending, fired and recycled handles.

@@ -372,38 +372,3 @@ func FuzzRingBuffer(f *testing.F) {
 		}
 	})
 }
-
-func TestSeriesCursorIndependence(t *testing.T) {
-	s := NewSeries(sim.Millisecond)
-	s.Add(5*sim.Millisecond, 1)
-	c1 := s.NewCursor()
-	if c1.DirtyLow() != 0 {
-		t.Fatalf("fresh cursor DirtyLow = %d, want 0 (conservatively all dirty)", c1.DirtyLow())
-	}
-	c1.Clear()
-	c2 := s.NewCursor()
-	s.Add(3*sim.Millisecond, 1)
-	if c1.DirtyLow() != 3 {
-		t.Fatalf("c1 DirtyLow = %d, want 3", c1.DirtyLow())
-	}
-	if c2.DirtyLow() != 0 {
-		t.Fatalf("c2 DirtyLow = %d, want 0", c2.DirtyLow())
-	}
-	c1.Clear()
-	if c1.DirtyLow() < s.Len() {
-		t.Fatalf("cleared cursor DirtyLow = %d, want ≥ Len %d", c1.DirtyLow(), s.Len())
-	}
-	if c2.DirtyLow() != 0 {
-		t.Fatal("clearing c1 touched c2")
-	}
-	// The legacy single-consumer mark is unaffected by cursor clears: it
-	// still reflects the lowest write so far (bucket 3).
-	if s.DirtyLow() != 3 {
-		t.Fatalf("legacy DirtyLow = %d, want 3", s.DirtyLow())
-	}
-	s.ClearDirty()
-	s.AddSpread(sim.Millisecond, 2*sim.Millisecond, 4)
-	if s.DirtyLow() != 1 || c1.DirtyLow() != 1 || c2.DirtyLow() != 0 {
-		t.Fatalf("marks after AddSpread: legacy=%d c1=%d c2=%d", s.DirtyLow(), c1.DirtyLow(), c2.DirtyLow())
-	}
-}

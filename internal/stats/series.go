@@ -18,16 +18,6 @@ import (
 type Series struct {
 	interval sim.Time
 	buckets  []float64
-	// dirtyLo is the lowest bucket index written since the last ClearDirty
-	// (len(buckets) and above meaning "nothing dirty"). It lets a single
-	// derived-series consumer recompute only the suffix that may have
-	// changed: writes are not append-only (AddSpread can reach back into
-	// old buckets), so a low-water mark is the cheapest sound summary.
-	dirtyLo int
-	// cursors are additional independent low-water marks (NewCursor), so
-	// that consumers beyond the legacy DirtyLow/ClearDirty owner can each
-	// keep their own incremental view of the same series.
-	cursors []*Cursor
 }
 
 // NewSeries returns a series with the given bucket interval.
@@ -35,59 +25,8 @@ func NewSeries(interval sim.Time) *Series {
 	if interval <= 0 {
 		panic("stats: non-positive series interval")
 	}
-	return &Series{interval: interval, dirtyLo: clean}
+	return &Series{interval: interval}
 }
-
-// clean is the dirtyLo sentinel meaning "no writes since ClearDirty". A
-// zero-value Series conservatively reports bucket 0 dirty, which is safe
-// (consumers recompute everything) just not fast.
-const clean = int(^uint(0) >> 1) // max int
-
-func (s *Series) markDirty(idx int) {
-	if idx < s.dirtyLo {
-		s.dirtyLo = idx
-	}
-	for _, c := range s.cursors {
-		if idx < c.lo {
-			c.lo = idx
-		}
-	}
-}
-
-// Cursor is an independent dirty low-water mark over a Series. The legacy
-// DirtyLow/ClearDirty pair supports exactly one consumer (whoever clears
-// owns the mark); a Cursor gives any additional consumer — e.g. the
-// streaming engine's modeled-power cache alongside the recalibrator's —
-// its own mark, updated by the same writes but cleared independently.
-type Cursor struct {
-	s  *Series
-	lo int
-}
-
-// NewCursor registers and returns a new cursor. A fresh cursor starts
-// fully dirty (low = 0) so that its first consumer pass is conservative:
-// it sees every bucket written before the cursor existed.
-func (s *Series) NewCursor() *Cursor {
-	c := &Cursor{s: s, lo: 0}
-	s.cursors = append(s.cursors, c)
-	return c
-}
-
-// DirtyLow returns the lowest bucket index written since this cursor's
-// last Clear; any value ≥ the series Len() means no bucket changed.
-func (c *Cursor) DirtyLow() int { return c.lo }
-
-// Clear resets this cursor's mark without touching other consumers.
-func (c *Cursor) Clear() { c.lo = clean }
-
-// DirtyLow returns the lowest bucket index written since the last
-// ClearDirty; any value ≥ Len() means no bucket changed. The dirty mark is
-// a single shared low-water value, so it supports one consumer: whoever
-// calls ClearDirty owns the incremental view.
-func (s *Series) DirtyLow() int { return s.dirtyLo }
-
-// ClearDirty resets the dirty mark; see DirtyLow.
-func (s *Series) ClearDirty() { s.dirtyLo = clean }
 
 // Interval returns the bucket width.
 func (s *Series) Interval() sim.Time { return s.interval }
@@ -110,7 +49,6 @@ func (s *Series) Add(t sim.Time, value float64) {
 	idx := int(t / s.interval)
 	s.grow(idx)
 	s.buckets[idx] += value
-	s.markDirty(idx)
 }
 
 // AddSpread distributes value over the interval [t0, t1) proportionally to
@@ -127,7 +65,6 @@ func (s *Series) AddSpread(t0, t1 sim.Time, value float64) {
 	first := t0 / s.interval
 	last := (t1 - 1) / s.interval
 	s.grow(int(last))
-	s.markDirty(int(first))
 	for b := first; b <= last; b++ {
 		lo := b * s.interval
 		hi := lo + s.interval
@@ -207,7 +144,6 @@ func (s *Series) Rebucket(factor int) *Series {
 		// quantity (sum), keeping Add/AddSpread semantics consistent.
 		//pclint:allow floatsafe n >= 1: the inner loop always runs for j = i, which is in range
 		out.buckets[i/factor] = sum * float64(factor) / float64(n)
-		out.markDirty(i / factor)
 	}
 	return out
 }
