@@ -356,7 +356,7 @@ func BenchmarkRegistryParallel(b *testing.B) {
 // ---- §3.5 overhead micro-benchmarks on the facility itself ----
 
 // benchRig builds a machine with a busy task for sampling benches.
-func benchRig(b *testing.B) *experiments.Machine {
+func benchRig(b testing.TB) *experiments.Machine {
 	b.Helper()
 	m, err := experiments.NewMachine(cpu.SandyBridge, core.ApproachChipShare, 1)
 	if err != nil {
@@ -377,6 +377,25 @@ func BenchmarkOverheadMaintenanceOp(b *testing.B) {
 		m.K.Cores[0].AdvanceBusy(sim.Millisecond, act)
 		m.Fac.RewindBaseline(0, sim.Millisecond)
 		m.Fac.SampleNow(0)
+	}
+}
+
+// TestMaintenanceOpAllocFree is the zero-allocation gate on the §3.5
+// maintenance operation: once the rig is warm, one emulated sampling
+// period (the BenchmarkOverheadMaintenanceOp loop body) must not allocate.
+// Counter read, model evaluation, container charge, metric-series spread
+// and the power recorder's writes all run inside it.
+func TestMaintenanceOpAllocFree(t *testing.T) {
+	m := benchRig(t)
+	act := workload.ActStress
+	op := func() {
+		m.K.Cores[0].AdvanceBusy(sim.Millisecond, act)
+		m.Fac.RewindBaseline(0, sim.Millisecond)
+		m.Fac.SampleNow(0)
+	}
+	op()
+	if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
+		t.Fatalf("steady-state maintenance operation allocates %.1f objects per run", allocs)
 	}
 }
 

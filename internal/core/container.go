@@ -142,8 +142,10 @@ type Container struct {
 	refs     int
 	Released bool
 
-	stageIdx     map[string]int
+	// stages is in first-seen order; lastStage indexes the stage the
+	// previous period charged, the common case for the next one.
 	stages       []StageStat
+	lastStage    int
 	traceEnabled bool
 	Trace        []TraceEvent
 	// Intervals records attributed execution periods when tracing is on.
@@ -234,20 +236,31 @@ func (c *Container) addPeriod(task string, end, wall sim.Time, ev cpu.Counters, 
 	if dutyFrac > 0 {
 		c.origEnergyJ += energyJ / dutyFrac
 	}
-	if c.stageIdx == nil {
-		c.stageIdx = make(map[string]int)
-	}
-	i, ok := c.stageIdx[task]
-	if !ok {
-		i = len(c.stages)
-		c.stageIdx[task] = i
-		c.stages = append(c.stages, StageStat{Task: task})
-	}
-	c.stages[i].CPUTime += wall
-	c.stages[i].EnergyJ += energyJ
+	st := c.stage(task)
+	st.CPUTime += wall
+	st.EnergyJ += energyJ
 	if c.traceEnabled {
 		c.Intervals = append(c.Intervals, TraceInterval{Task: task, Start: end - wall, End: end, PowerW: powerW})
 	}
+}
+
+// stage returns the stage statistics for task, appending a new stage the
+// first time the task is seen. A request visits a handful of components,
+// so a linear scan behind the last-used index beats a map and allocates
+// nothing once each stage exists.
+func (c *Container) stage(task string) *StageStat {
+	if i := c.lastStage; i < len(c.stages) && c.stages[i].Task == task {
+		return &c.stages[i]
+	}
+	for i := range c.stages {
+		if c.stages[i].Task == task {
+			c.lastStage = i
+			return &c.stages[i]
+		}
+	}
+	c.lastStage = len(c.stages)
+	c.stages = append(c.stages, StageStat{Task: task})
+	return &c.stages[c.lastStage]
 }
 
 // addTrace records a flow event when tracing is enabled.

@@ -309,6 +309,37 @@ func TestStageStatsPerTaskName(t *testing.T) {
 	}
 }
 
+// TestStagesFirstSeenOrder drives one container through tasks
+// A,B,A,C,B,A: Stages() lists each task once, in first-seen order, with
+// the busy time and energy of all its periods, whether a period repeats
+// the previous task or returns to an earlier one.
+func TestStagesFirstSeenOrder(t *testing.T) {
+	c := &Container{}
+	seq := []string{"A", "B", "A", "C", "B", "A"}
+	for i, task := range seq {
+		wall := sim.Time(i+1) * sim.Millisecond
+		c.addPeriod(task, wall*10, wall, cpu.Counters{}, float64(i+1)/4, 0, 1, 1)
+	}
+	want := []StageStat{
+		{Task: "A", CPUTime: (1 + 3 + 6) * sim.Millisecond, EnergyJ: (1 + 3 + 6) / 4.0},
+		{Task: "B", CPUTime: (2 + 5) * sim.Millisecond, EnergyJ: (2 + 5) / 4.0},
+		{Task: "C", CPUTime: 4 * sim.Millisecond, EnergyJ: 4 / 4.0},
+	}
+	got := c.Stages()
+	if len(got) != len(want) {
+		t.Fatalf("stages = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("stage %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	got[0].Task = "mutated"
+	if c.Stages()[0].Task != "A" {
+		t.Fatal("Stages returned the container's own slice")
+	}
+}
+
 func TestTraceOnlyWhenEnabled(t *testing.T) {
 	k, f := newRig(t, uniSpec, Config{})
 	traced := f.NewContainer("traced")

@@ -114,7 +114,6 @@ type coreState struct {
 	valid    bool
 	last     cpu.Counters
 	lastTime sim.Time
-	maintOps int
 	// lastM remembers the previous period's (observer-compensated,
 	// capped) metrics so a period whose counters are unrecoverable —
 	// lost overflow interrupts under a wrapping register — can be
@@ -268,7 +267,6 @@ func (f *Facility) resetBaseline(c *cpu.Core) {
 	st.valid = true
 	f.K.ChargeMaintenance(c.ID, f.maint)
 	f.SampleCount++
-	st.maintOps = 1
 }
 
 // samplePeriod closes the current sampling period on core c, attributing
@@ -310,10 +308,12 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 				fixKind = "extrapolate"
 			}
 		}
-		// Extrapolated deltas derive from already-compensated metrics;
-		// subtracting maintenance again would double-count it.
-		if fixKind != "extrapolate" && !f.cfg.DisableObserverComp && st.maintOps > 0 {
-			delta = delta.Sub(f.maint.Scale(float64(st.maintOps))).ClampNonNegative()
+		// Every valid period opens with exactly one maintenance operation
+		// (resetBaseline or the previous sample). Extrapolated deltas
+		// derive from already-compensated metrics; subtracting
+		// maintenance again would double-count it.
+		if fixKind != "extrapolate" && !f.cfg.DisableObserverComp {
+			delta = delta.Sub(f.maint).ClampNonNegative()
 		}
 		var m model.Metrics
 		if elapsedCycles > 0 {
@@ -357,8 +357,8 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 		if f.Audit != nil {
 			f.Audit.OnPeriod(cont, name, st.lastTime, now, p*seconds, chipP*seconds, m.Chip)
 		}
-		f.metrics.AddSpread(st.lastTime, now, m) //pclint:allow hotalloc 1ms-bucket metric series growth, bounded by elapsed sim time
-		f.hookAnomaly(c, t, p-chipP)             //pclint:allow hotalloc anomaly detector window growth, bounded by sample cadence
+		f.metrics.AddSpread(st.lastTime, now, m)
+		f.hookAnomaly(c, t, p-chipP) //pclint:allow hotalloc anomaly detector window growth, bounded by sample cadence
 		if fixKind != "" && f.Audit != nil {
 			f.Audit.OnCounterFix(c.ID, fixKind, now)
 		}
@@ -372,7 +372,6 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 	st.lastTime = now
 	f.K.ChargeMaintenance(c.ID, f.maint)
 	f.SampleCount++
-	st.maintOps = 1
 }
 
 // unwrapDelta repairs a counter delta whose minuend wrapped once: negative

@@ -144,82 +144,111 @@ func (c Coefficients) String() string {
 // meter readings, and the modeled-power trace for alignment is computed
 // from it.
 //
+// Storage is bucket-major and paged: each bucket is one 64-byte row of the
+// eight components in canonical order, so a period's spread and a reader's
+// At touch one row per bucket. Rows live in fixed 32 KB pages of
+// metricPageSize buckets (see stats.Pages), so growth with elapsed time
+// allocates a page and never copies earlier ones.
+//
 // Consumers that keep an incremental copy of something derived from the
 // buckets (the recalibrator's and the streaming engine's modeled-power
 // caches) each register a MetricCursor: every write lowers every cursor to
 // the first bucket it touched, and each consumer clears its own.
 type MetricSeries struct {
 	interval sim.Time
-	series   [8]*stats.Series
+	pages    stats.Pages[[metricPageSize][8]float64]
+	n        int // buckets touched so far
 	cursors  []*MetricCursor
 }
 
+// A metric page is 512 rows of 8 components: 32 KB, the largest
+// small-object size class.
+const (
+	metricPageBits = 9
+	metricPageSize = 1 << metricPageBits
+	metricPageMask = metricPageSize - 1
+)
+
 // NewMetricSeries returns a metric series on the given bucket grid.
 func NewMetricSeries(interval sim.Time) *MetricSeries {
-	ms := &MetricSeries{interval: interval}
-	for i := range ms.series {
-		ms.series[i] = stats.NewSeries(interval)
-	}
-	return ms
+	return &MetricSeries{interval: interval}
 }
 
 // Interval returns the bucket width.
 func (ms *MetricSeries) Interval() sim.Time { return ms.interval }
 
 // Len returns the number of buckets touched.
-func (ms *MetricSeries) Len() int {
-	n := 0
-	for _, s := range ms.series {
-		if s.Len() > n {
-			n = s.Len()
-		}
-	}
-	return n
+func (ms *MetricSeries) Len() int { return ms.n }
+
+// row addresses bucket b, which must be below Len.
+func (ms *MetricSeries) row(b int) *[8]float64 {
+	return &ms.pages[b>>metricPageBits][b&metricPageMask]
 }
 
 // AddSpread accumulates a period's metrics over [t0, t1): each bucket gains
 // metric × (overlap / interval), so a fully covered bucket of a fully
-// utilized core accumulates Core = 1.
+// utilized core accumulates Core = 1. Only non-zero components are
+// written, and an all-zero period writes nothing (no growth, no cursor
+// mark).
 func (ms *MetricSeries) AddSpread(t0, t1 sim.Time, m Metrics) {
 	if t1 <= t0 {
 		return
 	}
-	//pclint:allow floatsafe series are constructed with a positive bucket interval
-	scale := float64(t1-t0) / float64(ms.interval)
-	// A stack array instead of m.Vector(): this runs on every attribution
-	// period and device-I/O completion, so it must not allocate.
-	v := [8]float64{m.Core, m.Ins, m.Float, m.Cache, m.Mem, m.Chip, m.Disk, m.Net}
-	wrote := false
-	for i, s := range ms.series {
-		//pclint:allow floatsafe exact-zero fast path skipping metrics that were never observed
-		if v[i] == 0 {
-			continue
-		}
-		s.AddSpread(t0, t1, v[i]*scale)
-		wrote = true
-	}
-	if !wrote {
+	if m == (Metrics{}) {
 		return
 	}
-	first := int(t0 / ms.interval)
+	v := [8]float64{m.Core, m.Ins, m.Float, m.Cache, m.Mem, m.Chip, m.Disk, m.Net}
+	total := float64(t1 - t0)
+	//pclint:allow floatsafe series are constructed with a positive bucket interval
+	scale := total / float64(ms.interval)
+	// Each component's per-bucket share is (v*scale)*overlap/total,
+	// evaluated in that order: the same rounding as spreading v*scale
+	// over the period one component at a time.
+	for i := range v {
+		v[i] *= scale
+	}
+	first := t0 / ms.interval
+	last := (t1 - 1) / ms.interval
+	if n := int(last) + 1; n > ms.n {
+		ms.pages.Grow((n-1)>>metricPageBits + 1)
+		ms.n = n
+	}
+	for b := first; b <= last; b++ {
+		lo := b * ms.interval
+		hi := lo + ms.interval
+		if lo < t0 {
+			lo = t0
+		}
+		if hi > t1 {
+			hi = t1
+		}
+		w := float64(hi - lo)
+		row := ms.row(int(b))
+		for i, x := range v {
+			//pclint:allow floatsafe exact-zero fast path: a component that was never observed leaves its lane untouched
+			if x == 0 {
+				continue
+			}
+			//pclint:allow floatsafe total = t1-t0 is positive: the empty and reversed cases returned above
+			row[i] += x * w / total
+		}
+	}
 	for _, c := range ms.cursors {
-		if first < c.lo {
-			c.lo = first
+		if int(first) < c.lo {
+			c.lo = int(first)
 		}
 	}
 }
 
 // At returns the time-averaged metrics of bucket b.
 func (ms *MetricSeries) At(b int) Metrics {
+	if b < 0 || b >= ms.n {
+		return Metrics{}
+	}
+	r := ms.row(b)
 	return Metrics{
-		Core:  ms.series[0].Bucket(b),
-		Ins:   ms.series[1].Bucket(b),
-		Float: ms.series[2].Bucket(b),
-		Cache: ms.series[3].Bucket(b),
-		Mem:   ms.series[4].Bucket(b),
-		Chip:  ms.series[5].Bucket(b),
-		Disk:  ms.series[6].Bucket(b),
-		Net:   ms.series[7].Bucket(b),
+		Core: r[0], Ins: r[1], Float: r[2], Cache: r[3],
+		Mem: r[4], Chip: r[5], Disk: r[6], Net: r[7],
 	}
 }
 

@@ -77,7 +77,7 @@ func (r *Recorder) AddCoreSegment(t0, t1 sim.Time, act cpu.Activity, duty float6
 	if r.Audit != nil {
 		r.Audit.OnRecord("core", t0, t1, joules)
 	}
-	r.pkgActive.AddSpread(t0, t1, joules) //pclint:allow hotalloc 1ms-bucket series growth is bounded by elapsed sim time, not event count
+	r.pkgActive.AddSpread(t0, t1, joules)
 }
 
 // AddObserverEnergy charges the energy of facility maintenance operations
@@ -92,7 +92,7 @@ func (r *Recorder) AddObserverEnergy(t sim.Time, joules float64) {
 	if r.Audit != nil {
 		r.Audit.OnRecord("observer", t, t, joules)
 	}
-	r.pkgActive.Add(t, joules) //pclint:allow hotalloc 1ms-bucket series growth is bounded by elapsed sim time, not event count
+	r.pkgActive.Add(t, joules)
 }
 
 // SetChipBusyCores integrates maintenance power up to now and records the
@@ -137,7 +137,7 @@ func (r *Recorder) FlushUntil(now sim.Time) {
 		if r.Audit != nil {
 			r.Audit.OnRecord("maint", r.maintUpTo, now, joules)
 		}
-		r.pkgActive.AddSpread(r.maintUpTo, now, joules) //pclint:allow hotalloc 1ms-bucket series growth is bounded by elapsed sim time, not event count
+		r.pkgActive.AddSpread(r.maintUpTo, now, joules)
 	}
 	r.maintUpTo = now
 }

@@ -15,10 +15,22 @@ import (
 // zero. Values accumulate into buckets; reading yields the per-bucket mean
 // rate, which is how both the ground-truth power recorder and the modeled
 // power estimate are stored (energy per bucket → average watts per bucket).
+//
+// Buckets live in fixed pages of seriesPageSize values (see Pages), so a
+// series that grows for the whole run never copies what it already holds.
 type Series struct {
 	interval sim.Time
-	buckets  []float64
+	pages    Pages[[seriesPageSize]float64]
+	n        int // buckets touched so far
 }
+
+// A series page is 4096 buckets (32 KB, the largest small-object size
+// class): about 4 s of a 1 ms grid.
+const (
+	seriesPageBits = 12
+	seriesPageSize = 1 << seriesPageBits
+	seriesPageMask = seriesPageSize - 1
+)
 
 // NewSeries returns a series with the given bucket interval.
 func NewSeries(interval sim.Time) *Series {
@@ -32,13 +44,20 @@ func NewSeries(interval sim.Time) *Series {
 func (s *Series) Interval() sim.Time { return s.interval }
 
 // Len returns the number of buckets touched so far.
-func (s *Series) Len() int { return len(s.buckets) }
+func (s *Series) Len() int { return s.n }
 
 // grow ensures bucket idx exists.
 func (s *Series) grow(idx int) {
-	for len(s.buckets) <= idx {
-		s.buckets = append(s.buckets, 0)
+	if idx < s.n {
+		return
 	}
+	s.pages.Grow(idx>>seriesPageBits + 1)
+	s.n = idx + 1
+}
+
+// at addresses bucket i, which must be below Len.
+func (s *Series) at(i int) *float64 {
+	return &s.pages[i>>seriesPageBits][i&seriesPageMask]
 }
 
 // Add accumulates value into the bucket containing time t.
@@ -48,7 +67,7 @@ func (s *Series) Add(t sim.Time, value float64) {
 	}
 	idx := int(t / s.interval)
 	s.grow(idx)
-	s.buckets[idx] += value
+	*s.at(idx) += value
 }
 
 // AddSpread distributes value over the interval [t0, t1) proportionally to
@@ -75,35 +94,38 @@ func (s *Series) AddSpread(t0, t1 sim.Time, value float64) {
 			hi = t1
 		}
 		//pclint:allow floatsafe total = t1-t0 is positive: the reversed/empty interval cases returned or panicked above
-		s.buckets[b] += value * float64(hi-lo) / total
+		*s.at(int(b)) += value * float64(hi-lo) / total
 	}
 }
 
 // Bucket returns the accumulated value of bucket i (0 if never touched).
 func (s *Series) Bucket(i int) float64 {
-	if i < 0 || i >= len(s.buckets) {
+	if i < 0 || i >= s.n {
 		return 0
 	}
-	return s.buckets[i]
+	return *s.at(i)
 }
 
 // Values returns a copy of all bucket values.
-func (s *Series) Values() []float64 {
-	return append([]float64(nil), s.buckets...)
-}
+func (s *Series) Values() []float64 { return s.Range(0, s.n) }
 
 // Range returns a copy of buckets [lo, hi).
 func (s *Series) Range(lo, hi int) []float64 {
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > len(s.buckets) {
-		hi = len(s.buckets)
+	if hi > s.n {
+		hi = s.n
 	}
 	if hi <= lo {
 		return nil
 	}
-	return append([]float64(nil), s.buckets[lo:hi]...)
+	out := make([]float64, hi-lo)
+	for i := lo; i < hi; {
+		page := s.pages[i>>seriesPageBits]
+		i += copy(out[i-lo:], page[i&seriesPageMask:])
+	}
+	return out
 }
 
 // RatePerSecond converts a per-bucket accumulated quantity (e.g. joules) to
@@ -115,11 +137,11 @@ func (s *Series) RatePerSecond(i int) float64 {
 
 // RateSeries returns all buckets converted to per-second rates.
 func (s *Series) RateSeries() []float64 {
-	out := make([]float64, len(s.buckets))
+	out := make([]float64, s.n)
 	//pclint:allow floatsafe NewSeries rejects non-positive intervals at construction
 	scale := float64(sim.Second) / float64(s.interval)
-	for i, v := range s.buckets {
-		out[i] = v * scale
+	for i := range out {
+		out[i] = *s.at(i) * scale
 	}
 	return out
 }
@@ -132,18 +154,18 @@ func (s *Series) Rebucket(factor int) *Series {
 		panic("stats: non-positive rebucket factor")
 	}
 	out := NewSeries(s.interval * sim.Time(factor))
-	for i := 0; i < len(s.buckets); i += factor {
+	for i := 0; i < s.n; i += factor {
 		var sum float64
-		n := 0
-		for j := i; j < i+factor && j < len(s.buckets); j++ {
-			sum += s.buckets[j]
-			n++
+		count := 0
+		for j := i; j < i+factor && j < s.n; j++ {
+			sum += *s.at(j)
+			count++
 		}
 		out.grow(i / factor)
 		// Scale so that the coarse bucket holds the total accumulated
 		// quantity (sum), keeping Add/AddSpread semantics consistent.
-		//pclint:allow floatsafe n >= 1: the inner loop always runs for j = i, which is in range
-		out.buckets[i/factor] = sum * float64(factor) / float64(n)
+		//pclint:allow floatsafe count >= 1: the inner loop always runs for j = i, which is in range
+		*out.at(i / factor) = sum * float64(factor) / float64(count)
 	}
 	return out
 }
@@ -205,5 +227,5 @@ func NormalizedCrossCorrelation(measured, model []float64, lag int) float64 {
 
 // String describes the series briefly.
 func (s *Series) String() string {
-	return fmt.Sprintf("Series(interval=%s, buckets=%d)", sim.FormatTime(s.interval), len(s.buckets))
+	return fmt.Sprintf("Series(interval=%s, buckets=%d)", sim.FormatTime(s.interval), s.n)
 }
