@@ -262,7 +262,7 @@ func TestModeledPowerCacheMatchesBatch(t *testing.T) {
 		m := model.Metrics{Core: rng.Float64() * 3, Ins: rng.Float64(), Mem: rng.Float64() * 0.05}
 		ms.AddSpread(b*sim.Millisecond, (b+1)*sim.Millisecond, m)
 	}
-	// A second consumer (the streaming engine's role) registered before the
+	// A second consumer registered before the
 	// recalibrator's first call keeps its own mark on the same writes.
 	other := ms.NewCursor()
 	check := func(step string, c model.Coefficients) {

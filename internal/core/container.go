@@ -222,7 +222,7 @@ func (c *Container) EnableTrace() { c.traceEnabled = true }
 
 // addPeriod folds one attribution period into the container.
 func (c *Container) addPeriod(task string, end, wall sim.Time, ev cpu.Counters, energyJ, chipEnergyJ, powerW, dutyFrac float64) {
-	c.Counters = c.Counters.Add(ev)
+	c.Counters.Accumulate(ev)
 	c.CPUTime += wall
 	c.CPUEnergyJ += energyJ
 	c.ChipEnergyJ += chipEnergyJ
@@ -263,7 +263,8 @@ func (c *Container) stage(task string) *StageStat {
 	return &c.stages[c.lastStage]
 }
 
-// addTrace records a flow event when tracing is enabled.
+// addTrace records a flow event when tracing is enabled. Callers whose
+// detail string costs a format check traceEnabled first.
 func (c *Container) addTrace(t sim.Time, kind TraceEventKind, task, detail string) {
 	if !c.traceEnabled {
 		return

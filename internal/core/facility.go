@@ -313,7 +313,7 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 		// derive from already-compensated metrics; subtracting
 		// maintenance again would double-count it.
 		if fixKind != "extrapolate" && !f.cfg.DisableObserverComp {
-			delta = delta.Sub(f.maint).ClampNonNegative()
+			delta.SubClamp(f.maint)
 		}
 		var m model.Metrics
 		if elapsedCycles > 0 {
@@ -479,7 +479,9 @@ func (f *Facility) OnBind(t *kernel.Task, newCtx kernel.Context) {
 	f.releaseRef(old)
 	if nc, ok := newCtx.(*Container); ok && nc != nil {
 		f.retainRef(nc)
-		nc.addTrace(f.K.Now(), TraceBind, t.Name, fmt.Sprintf("from %s", old.Label))
+		if nc.traceEnabled {
+			nc.addTrace(f.K.Now(), TraceBind, t.Name, "from "+old.Label)
+		}
 		// Re-apply conditioning for the new binding if running.
 		if f.cond != nil {
 			if core := t.Core(); core >= 0 {
@@ -493,7 +495,9 @@ func (f *Facility) OnBind(t *kernel.Task, newCtx kernel.Context) {
 // binding; the container gains a task reference.
 func (f *Facility) OnFork(parent, child *kernel.Task) {
 	cont := f.containerOf(child)
-	cont.addTrace(f.K.Now(), TraceFork, parent.Name, "forks "+child.Name)
+	if cont.traceEnabled {
+		cont.addTrace(f.K.Now(), TraceFork, parent.Name, "forks "+child.Name)
+	}
 }
 
 // OnExit implements kernel.Monitor: drop the exiting task's reference.
@@ -533,7 +537,9 @@ func (f *Facility) OnIO(t *kernel.Task, dev kernel.DeviceKind, bytes int64, busy
 	if cont.svc != nil {
 		cont.svc.chargeDevice(joules)
 	}
-	cont.addTrace(f.K.Now(), TraceIO, t.Name, fmt.Sprintf("%s %dB", dev, bytes))
+	if cont.traceEnabled {
+		cont.addTrace(f.K.Now(), TraceIO, t.Name, fmt.Sprintf("%s %dB", dev, bytes))
+	}
 	var m model.Metrics
 	if dev == kernel.DeviceDisk {
 		m.Disk = 1

@@ -68,7 +68,7 @@ func (c *Core) Counters() Counters { return c.counters }
 // retires instructions and touches the cache, perturbing the very counters
 // being sampled.
 func (c *Core) AddEvents(ev Counters) {
-	c.counters = c.counters.Add(ev)
+	c.counters.Accumulate(ev)
 }
 
 // DutyLevel reads the duty-cycle modulation register (level out of
@@ -131,7 +131,7 @@ func (c *Core) WallFor(cycles float64) sim.Time {
 func (c *Core) AdvanceBusy(wall sim.Time, act Activity) Counters {
 	cycles := c.CyclesIn(wall)
 	ev := act.Events(cycles)
-	c.counters = c.counters.Add(ev)
+	c.counters.Accumulate(ev)
 	if c.overflowThreshold > 0 {
 		c.sinceOverflow += cycles
 	}

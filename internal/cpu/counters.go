@@ -32,17 +32,6 @@ func (c Counters) Sub(o Counters) Counters {
 	}
 }
 
-// Add returns the element-wise sum c + o.
-func (c Counters) Add(o Counters) Counters {
-	return Counters{
-		Cycles:       c.Cycles + o.Cycles,
-		Instructions: c.Instructions + o.Instructions,
-		Float:        c.Float + o.Float,
-		Cache:        c.Cache + o.Cache,
-		Mem:          c.Mem + o.Mem,
-	}
-}
-
 // Scale returns c with every field multiplied by f.
 func (c Counters) Scale(f float64) Counters {
 	return Counters{
@@ -54,20 +43,29 @@ func (c Counters) Scale(f float64) Counters {
 	}
 }
 
-// ClampNonNegative zeroes any negative field. The facility uses it after
-// observer-effect compensation, which can slightly over-subtract when a
-// sampling period contained fewer events than the calibrated per-operation
-// maintenance cost.
-func (c Counters) ClampNonNegative() Counters {
-	return Counters{
-		Cycles:       clampNonNeg(c.Cycles),
-		Instructions: clampNonNeg(c.Instructions),
-		Float:        clampNonNeg(c.Float),
-		Cache:        clampNonNeg(c.Cache),
-		Mem:          clampNonNeg(c.Mem),
-	}
+// Accumulate adds o into c in place, field by field. The per-period paths
+// use it, so no Counters temporary is built per call.
+func (c *Counters) Accumulate(o Counters) {
+	c.Cycles += o.Cycles
+	c.Instructions += o.Instructions
+	c.Float += o.Float
+	c.Cache += o.Cache
+	c.Mem += o.Mem
 }
 
+// SubClamp subtracts o from c in place and zeroes any field that went
+// negative. The facility uses it for observer-effect compensation, which
+// can slightly over-subtract when a sampling period contained fewer events
+// than the calibrated per-operation maintenance cost.
+func (c *Counters) SubClamp(o Counters) {
+	c.Cycles = clampNonNeg(c.Cycles - o.Cycles)
+	c.Instructions = clampNonNeg(c.Instructions - o.Instructions)
+	c.Float = clampNonNeg(c.Float - o.Float)
+	c.Cache = clampNonNeg(c.Cache - o.Cache)
+	c.Mem = clampNonNeg(c.Mem - o.Mem)
+}
+
+// clampNonNeg keeps −0 as −0, where the builtin max would return +0.
 func clampNonNeg(x float64) float64 {
 	if x < 0 {
 		return 0

@@ -60,17 +60,18 @@ func TestCountersArithmetic(t *testing.T) {
 	if d.Cycles != 6 || d.Instructions != 15 || d.Float != 0 || d.Cache != 1 || d.Mem != 2 {
 		t.Fatalf("Sub = %+v", d)
 	}
-	s := d.Add(b)
+	s := d
+	s.Accumulate(b)
 	if s != a {
-		t.Fatalf("Add did not invert Sub: %+v", s)
+		t.Fatalf("Accumulate did not invert Sub: %+v", s)
 	}
 	if sc := b.Scale(2); sc.Cycles != 8 || sc.Mem != 2 {
 		t.Fatalf("Scale = %+v", sc)
 	}
-	neg := Counters{Cycles: -1, Instructions: 5}
-	cl := neg.ClampNonNegative()
-	if cl.Cycles != 0 || cl.Instructions != 5 {
-		t.Fatalf("Clamp = %+v", cl)
+	cl := Counters{Cycles: 3, Instructions: 5}
+	cl.SubClamp(Counters{Cycles: 4, Instructions: 1})
+	if cl.Cycles != 0 || cl.Instructions != 4 {
+		t.Fatalf("SubClamp = %+v", cl)
 	}
 }
 

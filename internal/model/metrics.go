@@ -151,9 +151,9 @@ func (c Coefficients) String() string {
 // allocates a page and never copies earlier ones.
 //
 // Consumers that keep an incremental copy of something derived from the
-// buckets (the recalibrator's and the streaming engine's modeled-power
-// caches) each register a MetricCursor: every write lowers every cursor to
-// the first bucket it touched, and each consumer clears its own.
+// buckets (the recalibrator's modeled-power cache) each register a
+// MetricCursor: every write lowers every cursor to the first bucket it
+// touched, and each consumer clears its own.
 type MetricSeries struct {
 	interval sim.Time
 	pages    stats.Pages[[metricPageSize][8]float64]

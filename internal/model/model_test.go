@@ -243,7 +243,7 @@ func TestFitErrorMetric(t *testing.T) {
 // TestMetricCursorIndependentOfLegacyMark checks that consumers' marks are
 // independent. The recalibrator's mark, once a separate single-owner
 // DirtyLow/ClearDirty pair, is now one more cursor: c1 plays that role and
-// c2 the streaming engine's.
+// c2 a second consumer's.
 func TestMetricCursorIndependentOfLegacyMark(t *testing.T) {
 	ms := NewMetricSeries(sim.Millisecond)
 	ms.AddSpread(0, 6*sim.Millisecond, Metrics{Core: 1, Ins: 2})

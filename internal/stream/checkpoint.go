@@ -2,8 +2,12 @@ package stream
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"powercontainers/internal/linalg"
 	"powercontainers/internal/model"
@@ -12,8 +16,10 @@ import (
 )
 
 // CheckpointVersion identifies the checkpoint encoding. Version 2 added
-// the hierarchy roll-up cursors (svc_last/ten_last).
-const CheckpointVersion = 2
+// the hierarchy roll-up cursors (svc_last/ten_last); version 3 replaced
+// the modeled-power ring with the metric fingerprint (coeff, metric_len,
+// metric_sha256).
+const CheckpointVersion = 3
 
 // ContainerState is one live container's cursor in a checkpoint.
 type ContainerState struct {
@@ -48,10 +54,14 @@ type Checkpoint struct {
 
 	Measured   *stats.RingState `json:"measured,omitempty"`
 	Attributed stats.RingState  `json:"attributed"`
-	Modeled    stats.RingState  `json:"modeled"`
 
-	MPCoeff model.Coefficients `json:"mp_coeff"`
-	MPValid bool               `json:"mp_valid"`
+	// Metric fingerprint, for replay verification only: the facility's
+	// coefficients, the metric series length, and a SHA-256 over the raw
+	// bits of its trailing Config.ModelWindow buckets. A quiet replay
+	// that reaches a different model or metric history fails to match.
+	Coeff        model.Coefficients `json:"coeff"`
+	MetricLen    int                `json:"metric_len"`
+	MetricSHA256 string             `json:"metric_sha256"`
 
 	Delay      sim.Time           `json:"delay"`
 	DelayKnown bool               `json:"delay_known"`
@@ -79,9 +89,9 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		MeterSeen:      e.meterSeen,
 		ContainersSeen: e.containersSeen,
 		Attributed:     e.attributed.State(),
-		Modeled:        e.modeled.State(),
-		MPCoeff:        e.mpCoeff,
-		MPValid:        e.mpValid,
+		Coeff:          e.src.Fac.Coeff,
+		MetricLen:      e.src.Fac.Metrics().Len(),
+		MetricSHA256:   e.metricFingerprint(),
 		Delay:          e.delay,
 		DelayKnown:     e.delayKnown,
 		Plan:           e.plan,
@@ -118,6 +128,28 @@ func (e *Engine) Checkpoint() *Checkpoint {
 	return cp
 }
 
+// metricFingerprint hashes the raw bits of the metric series' trailing
+// Config.ModelWindow buckets, eight little-endian float64 words per
+// bucket in canonical component order.
+func (e *Engine) metricFingerprint() string {
+	ms := e.src.Fac.Metrics()
+	n := ms.Len()
+	lo := n - e.cfg.ModelWindow
+	if lo < 0 {
+		lo = 0
+	}
+	h := sha256.New()
+	var row [64]byte
+	for b := lo; b < n; b++ {
+		m := ms.At(b)
+		for i, v := range [8]float64{m.Core, m.Ins, m.Float, m.Cache, m.Mem, m.Chip, m.Disk, m.Net} {
+			binary.LittleEndian.PutUint64(row[8*i:], math.Float64bits(v))
+		}
+		h.Write(row[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // EncodeCheckpoint serializes a checkpoint. The encoding is deterministic
 // (fixed field order, shortest-round-trip floats), so equal states encode
 // to equal bytes — which is what lets ReplayTo verify a restore.
@@ -152,8 +184,11 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if cp.Records < 0 {
 		return nil, fmt.Errorf("stream: checkpoint with negative record count %d", cp.Records)
 	}
-	if cp.MeterSeen < 0 || cp.ContainersSeen < 0 {
-		return nil, fmt.Errorf("stream: checkpoint with negative cursors (meter %d, containers %d)", cp.MeterSeen, cp.ContainersSeen)
+	if cp.MeterSeen < 0 || cp.ContainersSeen < 0 || cp.MetricLen < 0 {
+		return nil, fmt.Errorf("stream: checkpoint with negative cursors (meter %d, containers %d, metric buckets %d)", cp.MeterSeen, cp.ContainersSeen, cp.MetricLen)
+	}
+	if sum, err := hex.DecodeString(cp.MetricSHA256); err != nil || len(sum) != sha256.Size {
+		return nil, fmt.Errorf("stream: checkpoint metric fingerprint %q is not a SHA-256", cp.MetricSHA256)
 	}
 	if len(cp.Live) > cp.ContainersSeen {
 		return nil, fmt.Errorf("stream: checkpoint holds %d live containers but saw only %d", len(cp.Live), cp.ContainersSeen)
@@ -183,10 +218,6 @@ func (e *Engine) restore(cp *Checkpoint) error {
 		return fmt.Errorf("stream: restore at tick %d, checkpoint at %d", e.tick, cp.Tick)
 	}
 	att, err := stats.RestoreRing(cp.Attributed)
-	if err != nil {
-		return err
-	}
-	mod, err := stats.RestoreRing(cp.Modeled)
 	if err != nil {
 		return err
 	}
@@ -242,10 +273,7 @@ func (e *Engine) restore(cp *Checkpoint) error {
 	e.svcLast = append(e.svcLast[:0], cp.SvcLast...)
 	e.tenLast = append(e.tenLast[:0], cp.TenLast...)
 	e.attributed = att
-	e.modeled = mod
 	e.measured = meas
-	e.mpCoeff = cp.MPCoeff
-	e.mpValid = cp.MPValid
 	e.delay = cp.Delay
 	e.delayKnown = cp.DelayKnown
 	e.plan = cp.Plan

@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"powercontainers/internal/core"
@@ -92,24 +93,51 @@ func testCheckpointReplay(t *testing.T, cfg stream.Config, cuts []int) {
 }
 
 // TestReplayToRejectsForeignCheckpoint pins the divergence guard: a
-// checkpoint replayed over a machine built from a different seed must be
-// refused (the quiet replay's natural state cannot match).
+// checkpoint replayed over a machine that differs from the checkpointed
+// one must fail the quiet replay's encoded-state comparison, and a
+// checkpoint off the tick grid is refused up front. The perturbed cases
+// run without recalibration and without a meter tap, so nothing but the
+// checkpoint's metric fingerprint reads the perturbed coefficient or
+// metric bucket.
 func TestReplayToRejectsForeignCheckpoint(t *testing.T) {
 	cfg := stream.Config{Tick: 100 * sim.Millisecond}
-	bed := deployBed(t, core.ApproachRecalibrated, 31, workload.Stress{}, 0.5)
-	e := stream.New(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage}, cfg)
-	e.RunTicks(25)
-	cp := e.Checkpoint()
+	sources := func(b testbed) stream.Sources {
+		src := stream.Sources{Eng: b.m.Eng, Fac: b.m.Fac, Scope: model.ScopePackage}
+		if b.m.Fac.Recalibrator() != nil {
+			src.Meter = b.m.Chip
+		}
+		return src
+	}
+	cases := []struct {
+		name     string
+		approach core.Approach
+		seed     uint64
+		perturb  func(*core.Facility)
+	}{
+		{"other-seed", core.ApproachRecalibrated, 32, func(*core.Facility) {}},
+		{"perturbed-coefficients", core.ApproachChipShare, 31, func(f *core.Facility) { f.Coeff.Disk += 0.5 }},
+		{"perturbed-metrics", core.ApproachChipShare, 31, func(f *core.Facility) {
+			f.Metrics().AddSpread(100*sim.Millisecond, 101*sim.Millisecond, model.Metrics{Disk: 1})
+		}},
+	}
+	for _, tc := range cases {
+		bed := deployBed(t, tc.approach, 31, workload.Stress{}, 0.5)
+		e := stream.New(sources(bed), cfg)
+		e.RunTicks(25)
+		cp := e.Checkpoint()
 
-	other := deployBed(t, core.ApproachRecalibrated, 32, workload.Stress{}, 0.5)
-	if _, err := stream.ReplayTo(stream.Sources{Eng: other.m.Eng, Fac: other.m.Fac, Meter: other.m.Chip, Scope: model.ScopePackage}, cfg, cp); err == nil {
-		t.Fatal("ReplayTo accepted a checkpoint from a differently-seeded run")
+		other := deployBed(t, tc.approach, tc.seed, workload.Stress{}, 0.5)
+		tc.perturb(other.m.Fac)
+		_, err := stream.ReplayTo(sources(other), cfg, cp)
+		if err == nil || !strings.Contains(err.Error(), "quiet replay diverged") {
+			t.Fatalf("%s: ReplayTo error = %v, want a quiet-replay divergence", tc.name, err)
+		}
 	}
 
-	// A mismatched tick grid is rejected up front.
-	bad := stream.Config{Tick: 70 * sim.Millisecond}
-	third := deployBed(t, core.ApproachRecalibrated, 31, workload.Stress{}, 0.5)
-	if _, err := stream.ReplayTo(stream.Sources{Eng: third.m.Eng, Fac: third.m.Fac, Meter: third.m.Chip, Scope: model.ScopePackage}, bad, cp); err == nil {
+	// A mismatched tick grid is rejected up front, before any replay.
+	cp := &stream.Checkpoint{Version: stream.CheckpointVersion, Tick: 25, T: 25 * cfg.Tick}
+	bed := deployBed(t, core.ApproachRecalibrated, 31, workload.Stress{}, 0.5)
+	if _, err := stream.ReplayTo(sources(bed), stream.Config{Tick: 70 * sim.Millisecond}, cp); err == nil {
 		t.Fatal("ReplayTo accepted a checkpoint off the configured tick grid")
 	}
 }
@@ -121,11 +149,16 @@ func TestDecodeCheckpointValidates(t *testing.T) {
 	if _, err := stream.DecodeCheckpoint([]byte(`{"version":99}`)); err == nil {
 		t.Fatal("future version accepted")
 	}
-	if _, err := stream.DecodeCheckpoint([]byte(`{"version":1}`)); err == nil {
-		t.Fatal("superseded version accepted")
+	for _, old := range []string{`{"version":1}`, `{"version":2}`} {
+		if _, err := stream.DecodeCheckpoint([]byte(old)); err == nil {
+			t.Fatalf("superseded version accepted: %s", old)
+		}
 	}
-	if _, err := stream.DecodeCheckpoint([]byte(`{"version":2,"tick":-1}`)); err == nil {
+	if _, err := stream.DecodeCheckpoint([]byte(`{"version":3,"tick":-1}`)); err == nil {
 		t.Fatal("negative tick accepted")
+	}
+	if _, err := stream.DecodeCheckpoint([]byte(`{"version":3,"tick":1,"metric_sha256":"abc"}`)); err == nil {
+		t.Fatal("malformed metric fingerprint accepted")
 	}
 }
 

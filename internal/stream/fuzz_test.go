@@ -15,9 +15,10 @@ import (
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("{"))
-	f.Add([]byte(`{"version":2}`))
+	f.Add([]byte(`{"version":3}`))
+	f.Add([]byte(`{"version":3,"tick":3,"t":300000000,"records":7,"containers_seen":1,"live":[{"id":0}],"attributed":{},"metric_len":300,"metric_sha256":"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"}`))
+	f.Add([]byte(`{"version":3,"tick":-1}`))
 	f.Add([]byte(`{"version":2,"tick":3,"t":300000000,"records":7,"containers_seen":1,"live":[{"id":0}],"attributed":{},"modeled":{}}`))
-	f.Add([]byte(`{"version":2,"tick":-1}`))
 	f.Add([]byte(`{"version":99,"tick":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := stream.DecodeCheckpoint(data)

@@ -2,10 +2,10 @@
 // align → recalibrate → containers) into a long-running streaming
 // attribution engine: a pull-based consumer that drives the simulation in
 // fixed ticks and, at each tick boundary, incrementally consumes meter
-// samples (power.ReadFresh cursors), per-container attribution deltas
-// (core.Facility creation-order scans), and the modeled-power trace
-// (model.MetricCursor dirty marks) into bounded-memory ring buffers
-// (stats.Ring), emitting a per-container power/energy record stream.
+// samples (power.ReadFresh cursors) and per-container attribution deltas
+// (core.Facility creation-order scans) into bounded-memory ring buffers
+// (stats.Ring), evaluates the modeled power of each tick's metric buckets
+// on demand, and emits a per-container power/energy record stream.
 //
 // Determinism contract: the engine is a pure consumer — it never schedules
 // simulation events, so driving the engine tick by tick processes the
@@ -62,7 +62,8 @@ type Config struct {
 	MeterWindow int
 	// TickWindow caps the attributed-energy ring in ticks (default 1024).
 	TickWindow int
-	// ModelWindow caps the modeled-power ring in metric buckets
+	// ModelWindow is the span, in trailing metric buckets, of the metric
+	// fingerprint a checkpoint carries for replay verification
 	// (default 8192).
 	ModelWindow int
 	// DriftWindow caps the retained aligned pairs of the windowed drift
@@ -167,11 +168,6 @@ type Engine struct {
 	svcLast []float64
 	tenLast []float64
 
-	modeled  *stats.Ring // per metric bucket: modeled active watts
-	mpCursor *model.MetricCursor
-	mpCoeff  model.Coefficients
-	mpValid  bool
-
 	delay      sim.Time // drift-pair alignment delay
 	delayKnown bool
 	plan       model.FitPlan
@@ -188,21 +184,17 @@ type Engine struct {
 }
 
 // New attaches a streaming engine to the given sources. The engine
-// assumes exclusive ownership of the facility metric cursor it creates
-// and of its meter-read cursor; the recalibrator's own cursors are
-// independent and untouched.
+// assumes exclusive ownership of its meter-read cursor; it only reads the
+// facility's metric series and registers no cursor on it.
 func New(src Sources, cfg Config) *Engine {
 	if src.Eng == nil || src.Fac == nil {
 		panic("stream: New requires Eng and Fac sources")
 	}
 	cfg = cfg.withDefaults()
-	ms := src.Fac.Metrics()
 	e := &Engine{
 		src:        src,
 		cfg:        cfg,
 		attributed: stats.NewRing(cfg.Tick, cfg.TickWindow),
-		modeled:    stats.NewRing(ms.Interval(), cfg.ModelWindow),
-		mpCursor:   ms.NewCursor(),
 	}
 	if src.Meter != nil {
 		e.measured = stats.NewRing(src.Meter.Interval(), cfg.MeterWindow)
@@ -336,12 +328,6 @@ func (e *Engine) step() {
 		e.emitHierarchy(h, t)
 	}
 
-	// Modeled-power cache: recompute only buckets at or above this
-	// engine's own dirty cursor (late writes reach back), from scratch on
-	// coefficient change — the recalibrator's cache policy, on an
-	// independent cursor and into a bounded ring.
-	e.patchModeled()
-
 	// Drift refit: align fresh samples and fold them into the windowed
 	// Gram, evicting beyond the window.
 	e.foldDrift(freshSamples)
@@ -450,56 +436,28 @@ func abs(v float64) float64 {
 	return v
 }
 
-// patchModeled maintains the bounded modeled-power ring: slot b holds the
-// modeled active power of metric bucket b under the facility's current
-// coefficients. Dirty buckets below the ring's retained window are stale
-// by construction and dropped.
-func (e *Engine) patchModeled() {
+// modeledTickMean averages the modeled active power of the metric
+// buckets covering the last tick under the facility's current
+// coefficients, evaluated on demand in ascending bucket order. Buckets
+// not yet touched are skipped; a tick with none models 0 W.
+func (e *Engine) modeledTickMean() float64 {
 	ms := e.src.Fac.Metrics()
 	cur := e.src.Fac.Coeff
-	n := ms.Len()
-	from := e.modeled.Len()
-	if e.mpValid && cur == e.mpCoeff {
-		if d := e.mpCursor.DirtyLow(); d < from {
-			from = d
-		}
-	} else {
-		from = e.modeled.Lo()
-		e.mpCoeff = cur
-		e.mpValid = true
-	}
-	if from < e.modeled.Lo() {
-		from = e.modeled.Lo()
-	}
-	for b := from; b < n; b++ {
-		v := cur.Estimate(ms.At(b))
-		if b < e.modeled.Len() {
-			e.modeled.Set(b, v)
-		} else {
-			e.modeled.Append(v)
-		}
-	}
-	e.mpCursor.Clear()
-}
-
-// modeledTickMean averages the modeled-power slots covering the last tick.
-func (e *Engine) modeledTickMean() float64 {
 	t := sim.Time(e.tick) * e.cfg.Tick
-	iv := e.modeled.Interval()
+	iv := ms.Interval()
 	lo := int((t - e.cfg.Tick) / iv)
 	hi := int(t / iv)
-	var sum float64
-	n := 0
-	for b := lo; b < hi; b++ {
-		if v, ok := e.modeled.At(b); ok {
-			sum += v
-			n++
-		}
+	if n := ms.Len(); hi > n {
+		hi = n
 	}
-	if n == 0 {
+	if hi <= lo {
 		return 0
 	}
-	return sum / float64(n)
+	var sum float64
+	for b := lo; b < hi; b++ {
+		sum += cur.Estimate(ms.At(b))
+	}
+	return sum / float64(hi-lo)
 }
 
 func meanActive(samples []power.Sample, m power.Meter) float64 {
