@@ -63,3 +63,14 @@ func TestTable1RenderingGolden(t *testing.T) {
 	}
 	checkGolden(t, "table1.golden", out)
 }
+
+// TestCluster3RenderingGolden locks the three-tier cluster rendering at
+// seed 1 through the pcbench entry point, so any change to how a policy
+// run executes must reproduce it byte for byte.
+func TestCluster3RenderingGolden(t *testing.T) {
+	out, err := powercontainers.RunExperiment("cluster3", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "cluster3.golden", out)
+}
