@@ -14,6 +14,7 @@ import (
 
 	"powercontainers/internal/core"
 	"powercontainers/internal/kernel"
+	"powercontainers/internal/runner"
 	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
 )
@@ -50,8 +51,6 @@ func (p Policy) String() string {
 // App is one application hosted on every node of the cluster.
 type App struct {
 	Name string
-	// NewRequest draws a request (node-independent payload).
-	NewRequest func() *server.Request
 	// SvcSec[node] is the app's mean per-request busy time on each node
 	// (dispatchers know service demand from standard monitoring).
 	SvcSec []float64
@@ -71,9 +70,12 @@ type Node struct {
 	K    *kernel.Kernel
 	Fac  *core.Facility
 	Gens map[string]*server.LoadGen
+	// NewRequest draws the next request of each app (keyed by app name)
+	// for execution on this node. NewNode points it at the node's own
+	// deployments; a setup may share one node's factories cluster-wide.
+	NewRequest map[string]func() *server.Request
 
-	// cores caches the machine's core count for capacity planning, so
-	// plan-only nodes (PlanNode) work without an assembled kernel.
+	// cores caches the machine's core count for capacity planning.
 	cores int
 
 	// ReservedUtil is the utilization fraction standing system services
@@ -91,6 +93,10 @@ type Node struct {
 	// dispatcher's health checks steer new work away. Fault plans toggle
 	// it (the node implements faults.FailureTarget).
 	failed bool
+
+	// responses buffers the completed requests of a node on its own
+	// engine until Dispatcher.Run merges them.
+	responses []CompletedRequest
 }
 
 // SetFailed marks or clears node failure; fault-injection plans call it
@@ -122,10 +128,15 @@ func (n *Node) estUtil(nowSec float64) float64 {
 
 // NewNode deploys every app on a machine.
 func NewNode(k *kernel.Kernel, fac *core.Facility, apps []*App, deploy func(app *App, k *kernel.Kernel) *server.Deployment) *Node {
-	n := &Node{K: k, Fac: fac, Gens: map[string]*server.LoadGen{}, cores: k.Spec.Cores()}
+	n := &Node{
+		K: k, Fac: fac, cores: k.Spec.Cores(),
+		Gens:       map[string]*server.LoadGen{},
+		NewRequest: map[string]func() *server.Request{},
+	}
 	for _, app := range apps {
 		dep := deploy(app, k)
 		n.Gens[app.Name] = server.NewLoadGen(k, fac, dep)
+		n.NewRequest[app.Name] = dep.NewRequest
 	}
 	return n
 }
@@ -133,6 +144,9 @@ func NewNode(k *kernel.Kernel, fac *core.Facility, apps []*App, deploy func(app 
 // Dispatcher routes requests to nodes under a policy. Node 0 must be the
 // most energy-efficient machine.
 type Dispatcher struct {
+	// Eng carries the dispatcher's arrivals. Each node's kernel either
+	// shares it, executing requests inline, or has an engine of its own
+	// that Run simulates in parallel.
 	Eng    *sim.Engine
 	Nodes  []*Node
 	Apps   []*App
@@ -165,13 +179,6 @@ type Dispatcher struct {
 	strikes  []int
 	probeRng []*sim.Rand
 	inflight map[uint64]*inflightReq
-
-	// record, when set, puts the dispatcher in plan mode (PlanOpenLoop):
-	// every decision is accounted exactly as a live dispatch — the
-	// offered-load estimate and per-app counts feed later picks — but
-	// recorded instead of executed. Mutually exclusive with health
-	// checking, whose failure recovery couples dispatch to node execution.
-	record func(node int, app *App, tag ContainerTag, dropped bool)
 }
 
 // inflightReq is a dispatched-but-unanswered request the dispatcher may
@@ -462,18 +469,6 @@ func (d *Dispatcher) Dispatch(app *App) {
 	tag := d.Ledger.Open(app.Name, d.PowerTargets[app.Name], d.Eng.Now())
 	if !ok {
 		d.Ledger.Drop(tag.RequestID, d.Eng.Now())
-		if d.record != nil {
-			d.record(0, app, tag, true)
-		}
-		return
-	}
-	if d.record != nil {
-		// Plan mode: mirror dispatchTo's dispatcher-side accounting —
-		// later picks read the offered-load estimate it maintains — and
-		// record the decision instead of executing it.
-		d.Nodes[node].noteDispatch(d.nowSec(), app.SvcSec[node])
-		d.perApp[node][app.Name]++
-		d.record(node, app, tag, false)
 		return
 	}
 	if d.health != nil {
@@ -483,20 +478,30 @@ func (d *Dispatcher) Dispatch(app *App) {
 }
 
 // dispatchTo sends one (possibly re-dispatched) request attempt to a node.
-// The completion callback is attempt-guarded: a response from an attempt
-// superseded by a redispatch, or from a node that failed before the
-// response left it, is discarded rather than double-counted.
+// A node on the dispatcher's engine executes it at once. A node on its own
+// engine receives it at the same virtual instant on that engine, and its
+// response folds into the ledger when Run merges the nodes. The completion
+// callback is attempt-guarded: a response from an attempt superseded by a
+// redispatch, or from a node that failed before the response left it, is
+// discarded rather than double-counted.
 func (d *Dispatcher) dispatchTo(node int, app *App, tag ContainerTag, attempt int) {
 	n := d.Nodes[node]
-	req := app.NewRequest()
-	// The executing machine materializes the remote container and applies
-	// the propagated control policy before the request runs.
-	req.Cont = n.Fac.NewContainer(req.Type)
-	req.Cont.PowerTargetW = tag.PowerTargetW
+	// Drawn here, in dispatch order, so a factory several nodes share
+	// yields the same stream however their engines interleave.
+	req := n.NewRequest[app.Name]()
 	n.noteDispatch(d.nowSec(), app.SvcSec[node])
 	d.perApp[node][app.Name]++
+	if n.K.Eng != d.Eng {
+		id, target := tag.RequestID, tag.PowerTargetW
+		n.K.Eng.At(d.Eng.Now(), func() {
+			n.inject(app, req, target, func(r *server.Request) {
+				n.responses = append(n.responses, CompletedRequest{App: app.Name, Node: node, RequestID: id, Req: r})
+			})
+		})
+		return
+	}
 	machine := n.K.Name()
-	n.Gens[app.Name].InjectPrepared(req, func(r *server.Request) {
+	n.inject(app, req, tag.PowerTargetW, func(r *server.Request) {
 		if d.health != nil {
 			fl, live := d.inflight[tag.RequestID]
 			if !live || fl.attempt != attempt {
@@ -513,6 +518,65 @@ func (d *Dispatcher) dispatchTo(node int, app *App, tag ContainerTag, attempt in
 			panic(err)
 		}
 	})
+}
+
+// inject runs a dispatched request on the node: the executing machine
+// materializes the remote container and applies the propagated control
+// policy before the request runs.
+func (n *Node) inject(app *App, req *server.Request, powerTargetW float64, done func(*server.Request)) {
+	req.Cont = n.Fac.NewContainer(req.Type)
+	req.Cont.PowerTargetW = powerTargetW
+	n.Gens[app.Name].InjectPrepared(req, done)
+}
+
+// Run drives the cluster to the horizon: the dispatcher's engine first,
+// then every node engine distinct from it, at most jobs at a time
+// (runner.Run semantics). Nodes on their own engines never read dispatcher
+// state once their requests are queued, and the dispatcher never reads
+// theirs (health checking, which would, needs a shared engine), so each
+// simulates independently. Their responses then fold into the completion
+// list and the ledger in (done time, request id) order, a total order, so
+// the result is identical at any jobs.
+func (d *Dispatcher) Run(horizon sim.Time, jobs int) error {
+	d.Eng.RunUntil(horizon)
+	var p runner.Plan
+	seen := map[*sim.Engine]bool{d.Eng: true}
+	for i, n := range d.Nodes {
+		eng := n.K.Eng
+		if seen[eng] {
+			continue
+		}
+		seen[eng] = true
+		p.Add(fmt.Sprintf("node/%d/%s", i, n.K.Name()), func() (any, error) {
+			eng.RunUntil(horizon)
+			return nil, nil
+		})
+	}
+	if _, err := runner.Run(&p, jobs); err != nil {
+		return err
+	}
+	start := len(d.completed)
+	for _, n := range d.Nodes {
+		d.completed = append(d.completed, n.responses...)
+		n.responses = nil
+	}
+	merged := d.completed[start:]
+	sort.Slice(merged, func(i, j int) bool {
+		if merged[i].Req.Done != merged[j].Req.Done {
+			return merged[i].Req.Done < merged[j].Req.Done
+		}
+		return merged[i].RequestID < merged[j].RequestID
+	})
+	for _, c := range merged {
+		e, ok := d.Ledger.Entry(c.RequestID)
+		if !ok {
+			return fmt.Errorf("cluster: response for unknown request %d", c.RequestID)
+		}
+		if err := d.Ledger.Close(responseTag(e.Tag, d.Nodes[c.Node].K.Name(), c.Req), c.Req.Done); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // HealthConfig tunes the dispatcher's per-node health checks and the
@@ -567,8 +631,10 @@ func (c *HealthConfig) fill() {
 // starts; with health never enabled the dispatcher behaves exactly as
 // before, including its random-stream consumption.
 func (d *Dispatcher) EnableHealth(cfg HealthConfig, rng *sim.Rand) {
-	if d.record != nil {
-		panic("cluster: health checking cannot be combined with dispatch planning (failure recovery couples dispatch to node execution)")
+	for _, n := range d.Nodes {
+		if n.K.Eng != d.Eng {
+			panic("cluster: health checking needs every node on the dispatcher's engine (failure recovery couples dispatch to node execution)")
+		}
 	}
 	cfg.fill()
 	d.health = &cfg
@@ -668,7 +734,9 @@ func (d *Dispatcher) redispatchNode(node int) {
 }
 
 // RunOpenLoop drives Poisson arrivals for every app at the given per-app
-// rates until the deadline, planning placements from the rates first.
+// rates until the deadline, planning placements from the rates first. The
+// arrivals run when the engine does (Run, or Eng.RunUntil when every node
+// shares the dispatcher's engine).
 func (d *Dispatcher) RunOpenLoop(rates map[string]float64, until sim.Time, rng *sim.Rand) {
 	d.SetRates(rates, rng.Fork(99))
 	for _, app := range d.Apps {
@@ -695,17 +763,12 @@ func (d *Dispatcher) RunOpenLoop(rates map[string]float64, until sim.Time, rng *
 	}
 }
 
-// ResponseTimes returns mean response time (ms) per app across the cluster.
+// ResponseTimes returns mean response time (ms) per app across the
+// cluster, folded in completion order.
 func (d *Dispatcher) ResponseTimes() map[string]float64 {
-	return meanResponseMs(d.completed)
-}
-
-// meanResponseMs averages response times (ms) per app over completed
-// requests, folding in the given iteration order.
-func meanResponseMs(completed []CompletedRequest) map[string]float64 {
 	sums := map[string]float64{}
 	counts := map[string]int{}
-	for _, c := range completed {
+	for _, c := range d.completed {
 		if !c.Req.Finished() {
 			continue
 		}

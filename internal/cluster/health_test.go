@@ -31,7 +31,6 @@ func (s *recordingSink) OnLedgerRedispatch(tag ContainerTag, attempts int, now s
 func TestDispatchToleratesEmptyNodeSet(t *testing.T) {
 	eng := sim.NewEngine()
 	apps, _ := buildApps()
-	apps[0].NewRequest = nil // must never be consulted without a node
 	d := NewDispatcher(eng, nil, apps, SimpleBalance)
 	sink := &recordingSink{}
 	d.Ledger.Audit = sink

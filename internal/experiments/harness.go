@@ -227,23 +227,11 @@ func NewMachine(spec cpu.MachineSpec, approach core.Approach, seed uint64) (*Mac
 	return Assembly{}.NewMachine(spec, approach, seed)
 }
 
-// NewMachineOnEngine assembles a machine onto a shared engine against the
-// process-default audit collector.
-func NewMachineOnEngine(eng *sim.Engine, spec cpu.MachineSpec, approach core.Approach, seed uint64) (*Machine, error) {
-	return Assembly{}.NewMachineOnEngine(eng, spec, approach, seed)
-}
-
-// NewMachine assembles a machine with the given attribution approach.
-// ApproachRecalibrated additionally wires online recalibration against the
-// machine's best meter (the on-chip meter on SandyBridge, the Wattsup
-// elsewhere).
+// NewMachine assembles a machine on its own engine with the given
+// attribution approach. ApproachRecalibrated additionally wires online
+// recalibration against the machine's best meter (the on-chip meter on
+// SandyBridge, the Wattsup elsewhere).
 func (as Assembly) NewMachine(spec cpu.MachineSpec, approach core.Approach, seed uint64) (*Machine, error) {
-	return as.NewMachineOnEngine(sim.NewEngine(), spec, approach, seed)
-}
-
-// NewMachineOnEngine assembles a machine onto a shared engine (cluster
-// experiments put several machines on one timeline).
-func (as Assembly) NewMachineOnEngine(eng *sim.Engine, spec cpu.MachineSpec, approach core.Approach, seed uint64) (*Machine, error) {
 	cal, err := CalibrationFor(spec)
 	if err != nil {
 		return nil, err
@@ -252,6 +240,7 @@ func (as Assembly) NewMachineOnEngine(eng *sim.Engine, spec cpu.MachineSpec, app
 	if err != nil {
 		return nil, err
 	}
+	eng := sim.NewEngine()
 	k, err := kernel.New(spec.Name, spec, profile, eng, nil)
 	if err != nil {
 		return nil, err

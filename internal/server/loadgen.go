@@ -22,10 +22,6 @@ type LoadGen struct {
 	completed []*Request
 	inFlight  int
 
-	// OnComplete, when set, runs for every finished request (cluster
-	// experiments use it to chain dispatch decisions).
-	OnComplete func(*Request)
-
 	// TraceRequests enables request-flow tracing on every container the
 	// generator creates (the Figure 4 capture).
 	TraceRequests bool
@@ -113,9 +109,6 @@ func (g *LoadGen) InjectPrepared(req *Request, extraDone func(*Request)) *Reques
 		g.completed = append(g.completed, req)
 		if extraDone != nil {
 			extraDone(req)
-		}
-		if g.OnComplete != nil {
-			g.OnComplete(req)
 		}
 	}
 	g.K.Inject(g.Dep.Entry, requestBytes, req.Cont, env)

@@ -3,10 +3,10 @@
 // nanoseconds, an event queue with stable FIFO ordering for simultaneous
 // events, and a seeded pseudo-random number generator.
 //
-// All simulated machines in an experiment share one Engine so that a
-// heterogeneous cluster advances on a single virtual timeline. (Sharded
-// cluster runs use one Engine per node plus a deterministic merge; see
-// internal/cluster.)
+// Machines that interact share one Engine and advance on a single virtual
+// timeline. A cluster whose dispatcher never reads node state gives each
+// node an Engine of its own and simulates them in parallel (see
+// cluster.Dispatcher.Run).
 package sim
 
 import (
